@@ -15,14 +15,12 @@ Usage::
 
 ``--ladder`` appends the fixed-budget population rungs
 (``mutable_{256,1024,4096}p_trace_off`` plus the sampler-on
-``mutable_1024p_timeseries_1s`` twin and the sharded-kernel trio
-``mutable_1024p_mss8`` / ``mutable_1024p_shards{2,4}``; the default
-suite's ``mutable_32p_trace_off`` is the 32p rung) and prints the
+``mutable_1024p_timeseries_1s`` twin and the 8-cell
+``mutable_1024p_mss8`` rung; the default suite's
+``mutable_32p_trace_off`` is the 32p rung) and prints the
 1024p-vs-32p per-event ratio — the scaling acceptance number, which
-must stay under 4x — the timeseries sampling overhead (acceptance:
-<= 3%), and the sharded-kernel throughput ratio against its 8-cell
-sequential control (single-core inline backend: a window-overhead
-number, expected <= 1x; see docs/DESIGN.md).
+must stay under 4x — and the timeseries sampling overhead
+(acceptance: <= 3%).
 
 Every run (except ``--trend``) also appends a machine-normalized,
 git-sha-stamped record to ``BENCH_history.jsonl`` at the repo root;
@@ -141,16 +139,6 @@ def main(argv=None) -> int:
             "1024p timeseries sampling overhead: "
             f"{overhead * 100:.1f}% (acceptance: <= 3%)"
         )
-    control = by_name.get("mutable_1024p_mss8")
-    for n_shards in (2, 4):
-        sharded = by_name.get(f"mutable_1024p_shards{n_shards}")
-        if control and sharded and control["rate"] > 0:
-            print(
-                f"1024p shards={n_shards} throughput vs sequential 8-cell: "
-                f"{sharded['rate'] / control['rate']:.2f}x "
-                "(inline single-core backend — window overhead, "
-                "not parallel speedup; see docs/DESIGN.md)"
-            )
 
     if not args.no_history:
         append_history(args.history, report, git_sha=_git_sha())

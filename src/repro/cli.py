@@ -64,11 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of cells / support stations "
                      "(SystemConfig.n_mss; default 1, the paper's "
                      "single-LAN model)")
-    run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="partition the simulation by cell across N "
-                     "shards on the conservative windowed kernel; "
-                     "results are bit-identical to --shards 1 "
-                     "(see docs/DESIGN.md)")
     run.add_argument("--rate", type=float, default=0.01,
                      help="messages per second per process")
     run.add_argument("--initiations", type=int, default=10)
@@ -582,7 +577,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_messages=bool(args.verify or args.export_trace),
         trace_debug_capacity=args.flight_recorder,
         timeseries_window=args.timeseries_window,
-        shards=args.shards,
     )
     system = MobileSystem(config, build_protocol(args.protocol))
     sink = None
@@ -633,15 +627,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"checkpointing time      : {result.duration_summary()} s")
     print(f"blocked process-seconds : {result.total_blocked_time:.1f}")
     print(f"system messages         : {result.counters.get('system_messages', 0):.0f}")
-    if result.shard_stats:
-        stats = result.shard_stats
-        print(
-            f"shards                  : {stats['shards']} "
-            f"({stats.get('effective_shards', stats['shards'])} effective, "
-            f"{stats['windows']} windows, {stats['envelopes']} envelopes, "
-            f"{stats['lookahead_violations']} violations, "
-            f"{stats['stall_seconds']:.1f} stall-s)"
-        )
     if args.flight_recorder is not None:
         trace = system.sim.trace
         print(
@@ -971,7 +956,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             + rate,
             "",
             f"{'job':12s} {'name':20s} {'status':9s} {'points':>9s} "
-            f"{'eta':>7s} {'shards':>6s} {'stall':>8s}  "
+            f"{'eta':>7s}  "
             "activity (events/window)",
         ]
         for job in status["jobs"]:
@@ -983,14 +968,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
             eta = (f"{job['eta_seconds']:.0f}s"
                    if job["status"] == "running" else "-")
             points = f"{job['done']}/{job['total']}"
-            n_shards = job.get("shards", 1)
-            shards = str(n_shards) if n_shards > 1 else "-"
-            stall = (f"{job.get('shard_stall_seconds', 0.0):.1f}s"
-                     if n_shards > 1 else "-")
             lines.append(
                 f"{job['job_id']:12s} {job['name'][:20]:20s} "
-                f"{job['status']:9s} {points:>9s} {eta:>7s} "
-                f"{shards:>6s} {stall:>8s}  {spark}"
+                f"{job['status']:9s} {points:>9s} {eta:>7s}  {spark}"
             )
         if not status["jobs"]:
             lines.append("(no jobs yet)")

@@ -8,11 +8,19 @@ checkpoint interval per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.net.params import NetworkParams
+
+
+def _reject_unknown(name: str, cls: type, params: dict) -> None:
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {name} key(s): {', '.join(map(str, unknown))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,14 +75,6 @@ class SystemConfig:
         ring carried on the RunResult. ``None`` (the default) disables
         sampling entirely — no sampler is built and the kernel runs the
         plain fast loop.
-    shards:
-        Partition the simulation by cell/MSS into this many shards and
-        run it on the conservative windowed kernel
-        (:class:`repro.sim.shard.ShardedSimulator`). ``1`` (the
-        default) keeps the plain fused-loop kernel — the sequential
-        fast path is untouched. Any ``shards >= 2`` must produce
-        bit-identical results to ``shards=1``; the windowed kernel
-        only adds barrier/envelope accounting (see docs/DESIGN.md).
     """
 
     n_processes: int = 16
@@ -91,7 +91,6 @@ class SystemConfig:
     track_weight_invariant: bool = False
     piggyback_mode: str = "delta"
     timeseries_window: Optional[float] = None
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.piggyback_mode not in ("delta", "full"):
@@ -118,8 +117,6 @@ class SystemConfig:
             raise ConfigurationError(
                 "timeseries_window must be positive (or None to disable)"
             )
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
 
     def with_changes(self, **kwargs) -> "SystemConfig":
         """A copy with the given fields replaced."""
@@ -131,11 +128,14 @@ class SystemConfig:
 
         A nested ``"network"`` dict becomes :class:`NetworkParams`, so a
         fully JSON-serializable spec can cross a process boundary and be
-        content-hashed, then rebuilt here inside a worker.
+        content-hashed, then rebuilt here inside a worker. Keys that name
+        no field, at either level, raise :class:`ConfigurationError`.
         """
         params = dict(params)
+        _reject_unknown("SystemConfig", cls, params)
         network = params.get("network")
         if isinstance(network, dict):
+            _reject_unknown("NetworkParams", NetworkParams, network)
             params["network"] = NetworkParams(**network)
         if seed is not None:
             params["seed"] = seed

@@ -34,12 +34,6 @@ class RunResult:
     #: sampling was disabled (``SystemConfig.timeseries_window`` unset)
     #: or for results recorded before the timeseries layer.
     timeseries: Dict = field(default_factory=dict)
-    #: window/envelope/stall accounting from
-    #: :meth:`repro.sim.shard.ShardedSimulator.shard_report`. Empty on
-    #: sequential (``shards=1``) runs; omitted from :meth:`to_dict` when
-    #: empty so sequential result documents are byte-identical to those
-    #: written before sharding existed.
-    shard_stats: Dict = field(default_factory=dict)
 
     @property
     def n_initiations(self) -> int:
@@ -77,7 +71,7 @@ class RunResult:
         survives a JSON round-trip unchanged. This is the wire/storage
         format of the campaign :class:`~repro.campaign.store.ResultStore`.
         """
-        data = {
+        return {
             "protocol": self.protocol,
             "n_processes": self.n_processes,
             "seed": self.seed,
@@ -89,13 +83,14 @@ class RunResult:
             "metrics": self.metrics,
             "timeseries": self.timeseries,
         }
-        if self.shard_stats:
-            data["shard_stats"] = self.shard_stats
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Keys this class does not know, such as fields of results written
+        by older versions, are ignored.
+        """
         return cls(
             protocol=data["protocol"],
             n_processes=data["n_processes"],
@@ -109,7 +104,6 @@ class RunResult:
             wall_events=data["wall_events"],
             metrics=data.get("metrics", {}),
             timeseries=data.get("timeseries", {}),
-            shard_stats=data.get("shard_stats", {}),
         )
 
     def row(self) -> Dict[str, float]:

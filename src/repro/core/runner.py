@@ -34,11 +34,6 @@ _RETRY_DELAY = 0.1
 class ExperimentRunner:
     """Drives one simulation run to a target number of initiations."""
 
-    #: tells the sharded kernel that events scheduled on this object
-    #: carry the acting pid as their first argument, so they can be
-    #: attributed to that process's shard instead of coordinator shard 0
-    shard_by_pid = True
-
     def __init__(
         self,
         system: MobileSystem,
@@ -245,10 +240,6 @@ class ExperimentRunner:
         if sampler is not None:
             sampler.flush()
             timeseries = sampler.export()
-        # Window/envelope accounting from the sharded kernel; {} on the
-        # sequential kernel, so sequential result documents are unchanged.
-        report = getattr(self.system.sim, "shard_report", None)
-        shard_stats = report() if report is not None else {}
         return RunResult(
             protocol=self.system.protocol.name,
             n_processes=self.system.config.n_processes,
@@ -260,5 +251,4 @@ class ExperimentRunner:
             wall_events=self.system.sim.events_processed,
             metrics=self.system.metrics.snapshot(),
             timeseries=timeseries,
-            shard_stats=shard_stats,
         )

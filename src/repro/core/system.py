@@ -75,21 +75,7 @@ class MobileSystem:
             trace = TraceLog(
                 level=TraceLevel.DEBUG if config.trace_messages else TraceLevel.INFO
             )
-        if config.shards > 1:
-            # Conservative windowed kernel (repro.sim.shard): per-shard
-            # heaps merged in canonical order, so results stay
-            # bit-identical to the sequential fused loop while window/
-            # envelope accounting becomes observable. The lookahead is
-            # the minimum cross-cell (wired) link delay.
-            from repro.sim.shard import ShardedSimulator
-
-            self.sim: Simulator = ShardedSimulator(
-                trace=trace,
-                n_shards=config.shards,
-                lookahead=config.network.min_cross_shard_delay(),
-            )
-        else:
-            self.sim = Simulator(trace=trace)
+        self.sim = Simulator(trace=trace)
         self.streams = RandomStreams(config.seed)
         #: the run's metrics registry, shared with the kernel; every
         #: layer (net, protocol, kernel) publishes named instruments here
@@ -134,16 +120,6 @@ class MobileSystem:
             self.stable_storage_for(pid).store(initial)
             self.sim.trace.record(0.0, "permanent", pid=pid, trigger=None, ckpt_id=initial.ckpt_id)
 
-        # Cell → shard partition (repro.sim.shard). Applied after the
-        # topology exists so every MSS gets its shard tag; the plan is
-        # None on sequential runs, which never import the shard module.
-        self.shard_plan = None
-        if config.shards > 1:
-            from repro.sim.shard import ShardPlan
-
-            self.shard_plan = ShardPlan.build(self, config.shards)
-            self.shard_plan.apply(self)
-
         # Windowed telemetry sampler (repro.obs.timeseries). Built last —
         # its wave-lifecycle instruments must only exist when sampling is
         # on, so a default run's metrics snapshot is unchanged. When
@@ -153,11 +129,6 @@ class MobileSystem:
         if config.timeseries_window is not None:
             self.timeseries = TimeseriesSampler(self, config.timeseries_window)
             self.timeseries.install()
-
-    @property
-    def monitor(self) -> MetricsRegistry:
-        """Back-compat alias for :attr:`metrics` (the old Monitor slot)."""
-        return self.metrics
 
     # -- lookups ---------------------------------------------------------
     def process(self, pid: int) -> AppProcess:

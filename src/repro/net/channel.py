@@ -108,18 +108,6 @@ class FifoChannel:
         """Whether the channel is currently paused (link down)."""
         return self._paused
 
-    @property
-    def min_delay(self) -> float:
-        """Per-link lookahead: a static lower bound on send→arrival time.
-
-        Propagation latency alone — transmission time (``size > 0``)
-        and contention queueing only delay arrivals further, under both
-        the constant-delay and serialized link models. The conservative
-        windowed kernel (:mod:`repro.sim.shard`) uses the wired links'
-        minimum as its horizon slack.
-        """
-        return self.latency
-
     def transmission_delay(self, message: Message) -> float:
         """Pure serialization time for ``message`` on this link."""
         size = message.size_bytes
@@ -229,11 +217,6 @@ class InstantChannel:
         else:
             self._c_bytes = Counter(f"{name}.bytes")
             self._c_msgs = Counter(f"{name}.msgs")
-
-    @property
-    def min_delay(self) -> float:
-        """Per-link lookahead: an instant link offers none."""
-        return 0.0
 
     def send(self, message: Message) -> None:
         self.bytes_sent += message.size_bytes

@@ -62,19 +62,6 @@ class NetworkParams:
     model_contention: bool = False
     shared_cell_medium: bool = True
 
-    def min_cross_shard_delay(self) -> float:
-        """Lower bound on any cross-cell message delay (shard lookahead).
-
-        Every path between processes homed in different cells traverses
-        a wired MSS↔MSS hop, so its arrival is at least ``wired_latency``
-        after the send: transmission time adds ``size/bandwidth > 0``
-        and contention (``model_contention=True``) only pushes arrivals
-        *later* — neither can undercut the propagation floor. This makes
-        ``wired_latency`` a safe static lookahead for the conservative
-        windowed kernel (:mod:`repro.sim.shard`); see docs/DESIGN.md.
-        """
-        return self.wired_latency
-
     def __post_init__(self) -> None:
         if self.wireless_bandwidth_bps <= 0 or self.wired_bandwidth_bps <= 0:
             raise ConfigurationError("bandwidths must be positive")

@@ -31,6 +31,7 @@ from repro.core.config import (
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
 from repro.net.message import ComputationMessage
+from repro.obs.profiler import KernelProfiler
 from repro.workload.point_to_point import PointToPointWorkload
 
 __all__ = [
@@ -73,6 +74,22 @@ def calibrate() -> float:
     return best
 
 
+class _BurnProfiler(KernelProfiler):
+    """A profiler whose only effect is ``burn()`` after every event.
+
+    The regression self-test plants its slowdown through
+    :meth:`~repro.sim.kernel.Simulator.set_profiler`, so it rides the
+    kernel's profiled loop.
+    """
+
+    def __init__(self, burn: Callable[[], None]) -> None:
+        super().__init__()
+        self._burn = burn
+
+    def on_event(self, callback: Callable[..., Any], seconds: float, depth: int) -> None:
+        self._burn()
+
+
 @dataclass
 class BenchCase:
     """One benchmark scenario: a builder plus how long to run it."""
@@ -86,13 +103,12 @@ class BenchCase:
 
         ``burn`` (testing hook) is invoked once per kernel event to
         plant an artificial slowdown for regression-detection tests; it
-        rides the kernel's :meth:`~repro.sim.kernel.Simulator.set_burn`
-        hook, so it slows the fast loop the runner actually uses.
+        is attached as a :class:`_BurnProfiler`.
         """
         system, runner = self.build()
         sim = system.sim
         if burn is not None:
-            sim.set_burn(burn)
+            sim.set_profiler(_BurnProfiler(burn))
         start = time.perf_counter()
         runner.run()
         elapsed = time.perf_counter() - start
@@ -191,8 +207,8 @@ def _snapshot_overhead_case() -> BenchCase:
 
     Pairs with ``mutable_16p_trace_off`` (identical run, snapshotting
     disabled): their rate ratio is the whole-state capture cost, and the
-    25% :func:`compare` gate keeps both the hooked loop and the pickle
-    path honest.
+    25% :func:`compare` gate keeps both the between-events hook path and
+    the pickle path honest.
     """
 
     def build() -> Tuple[MobileSystem, ExperimentRunner]:
@@ -322,7 +338,6 @@ class _LadderBenchCase:
     max_events: int = 150_000
     timeseries_window: Optional[float] = None
     n_mss: int = 1
-    shards: int = 1
     description: str = ""
 
     def run(self, burn: Optional[Callable[[], None]] = None) -> Tuple[int, float]:
@@ -331,7 +346,7 @@ class _LadderBenchCase:
         config = SystemConfig(
             n_processes=self.n_processes, seed=7, trace_messages=False,
             timeseries_window=self.timeseries_window,
-            n_mss=self.n_mss, shards=self.shards,
+            n_mss=self.n_mss,
         )
         system = MobileSystem(config, MutableCheckpointProtocol())
         workload = PointToPointWorkload(
@@ -342,7 +357,7 @@ class _LadderBenchCase:
         )
         sim = system.sim
         if burn is not None:
-            sim.set_burn(burn)
+            sim.set_profiler(_BurnProfiler(burn))
         workload.start()
         runner._schedule_first_initiations()
         start = time.perf_counter()
@@ -390,35 +405,19 @@ def ladder_cases(populations: Tuple[int, ...] = (256, 1024, 4096)) -> List[Any]:
                 ),
             )
         )
-        # Sharded-kernel rungs: an 8-cell sequential control plus the
-        # same topology on the windowed kernel at 2 and 4 shards. Their
-        # rate ratios are the barrier/window overhead of the inline
-        # canonical-merge backend (single-core: expect <= 1x, see
-        # docs/DESIGN.md); the 25% gate keeps that overhead honest.
+        # Multi-cell twin of the 1024p rung: the ladder's only rung
+        # with wired MSS-to-MSS routing and cross-cell commit fan-out.
         cases.append(
             _LadderBenchCase(
                 name="mutable_1024p_mss8",
                 n_processes=1024,
                 n_mss=8,
                 description=(
-                    "the 1024p rung over 8 cells on the sequential "
-                    "kernel (control for the shards rungs)"
+                    "the 1024p rung over 8 cells (wired routing between "
+                    "support stations)"
                 ),
             )
         )
-        for n_shards in (2, 4):
-            cases.append(
-                _LadderBenchCase(
-                    name=f"mutable_1024p_shards{n_shards}",
-                    n_processes=1024,
-                    n_mss=8,
-                    shards=n_shards,
-                    description=(
-                        f"the 1024p 8-cell rung on the windowed sharded "
-                        f"kernel with {n_shards} shards"
-                    ),
-                )
-            )
     return cases
 
 

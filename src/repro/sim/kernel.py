@@ -15,7 +15,7 @@ loop easy to reason about and trivially deterministic.
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
+from sys import getrefcount, maxsize
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
@@ -36,6 +36,9 @@ _FREELIST_MAX = 1024
 #: cancelled events tolerated in the heap before a compaction sweep is
 #: even considered (tiny queues are cheaper to drain lazily)
 _COMPACT_MIN_CANCELLED = 32
+
+#: ``_pause_at`` value meaning "no hook due and no stop requested"
+_NEVER = maxsize
 
 
 def _gcd(values: List[int]) -> int:
@@ -155,10 +158,14 @@ class Simulator:
         self._stop_requested = False
         self._policy = policy
         self._profiler: Optional["KernelProfiler"] = None
-        self._burn: Optional[Callable[[], None]] = None
         self._snap_hook: Optional[Callable[[], None]] = None
         self._snap_every = 0
-        self._snap_countdown = 0
+        #: ``events_processed`` value at which the hook next fires
+        self._hook_due = 0
+        #: the loops leave their fast path once ``events_processed``
+        #: reaches this: the hook's due count, -1 after :meth:`stop`, or
+        #: ``_NEVER`` (see :meth:`_arm`)
+        self._pause_at = _NEVER
         self._hooks: Dict[str, Tuple[Callable[[], None], int]] = {}
         self._stream_floors: Dict[Hashable, Tuple[float, int]] = {}
         self._free: List[Event] = []
@@ -237,15 +244,6 @@ class Simulator:
         """
         return self._cancelled_pending
 
-    def set_burn(self, burn: Optional[Callable[[], None]]) -> None:
-        """Install a per-event burn hook (benchmark self-test only).
-
-        While set, :meth:`run` uses the instrumented loop and invokes
-        ``burn()`` before every dispatched event — the supported way for
-        the bench harness to plant an artificial slowdown.
-        """
-        self._burn = burn
-
     def set_snapshot_hook(
         self, hook: Optional[Callable[[], None]], check_every: int = 1
     ) -> None:
@@ -258,9 +256,9 @@ class Simulator:
         kernel state; :class:`repro.snapshot.Snapshotter` uses it to
         evaluate trigger conditions and serialize the simulation.
 
-        Runs without a hook use the fused fast loop untouched (the
-        branch is taken once per :meth:`run` call, not per event), so a
-        disabled hook costs nothing.
+        The loops compare ``events_processed`` against one armed
+        threshold per event whether or not a hook is set, so a disabled
+        hook costs nothing extra.
         """
         self.set_between_events_hook("snapshot", hook, check_every)
 
@@ -292,44 +290,67 @@ class Simulator:
         if not hooks:
             self._snap_hook = None
             self._snap_every = 0
-            self._snap_countdown = 0
         elif len(hooks) == 1:
-            hook, every = hooks[0]
-            self._snap_hook = hook
-            self._snap_every = every
-            self._snap_countdown = every
+            self._snap_hook, self._snap_every = hooks[0]
         else:
             stride = _gcd([every for _, every in hooks])
             self._snap_hook = _MultiHook(
                 [(hook, every // stride) for hook, every in hooks]
             )
             self._snap_every = stride
-            self._snap_countdown = stride
+        self._hook_due = self._events_processed + self._snap_every
+        self._arm()
+
+    def _arm(self) -> None:
+        """Recompute ``_pause_at`` from the stop flag and the hook."""
+        if self._stop_requested:
+            self._pause_at = -1
+        elif self._snap_hook is not None:
+            self._pause_at = self._hook_due
+        else:
+            self._pause_at = _NEVER
+
+    def _between_events(self) -> bool:
+        """The loops' slow path: fire a due hook, re-arm, report a stop.
+
+        Runs *between* event callbacks, so the heap, clock and counters
+        are consistent whenever the hook observes them. The hook is
+        re-armed before it is called, so a hook that re-registers (or
+        removes) hooks leaves the new cadence in place.
+        """
+        if self._snap_hook is not None and self._events_processed >= self._hook_due:
+            self._hook_due = self._events_processed + self._snap_every
+            self._snap_hook()
+        self._arm()
+        return self._stop_requested
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle support: the kernel snapshots as *paused*.
 
-        Wall-clock instrumentation (profiler, burn hook) and the
-        snapshot hook hold live callbacks into harness objects; they are
-        dropped here and re-attached by the restore path — see
-        ``repro.snapshot.state``. ``_running``/``_stop_requested`` reset
-        so a simulator pickled mid-``run()`` resumes cleanly.
+        The wall-clock profiler and the between-events hooks hold live
+        callbacks into harness objects; they are dropped here and
+        re-attached by the restore path — see ``repro.snapshot.state``.
+        ``_running``/``_stop_requested`` reset so a simulator pickled
+        mid-``run()`` resumes cleanly.
         """
         state = self.__dict__.copy()
         state["_running"] = False
         state["_stop_requested"] = False
         state["_profiler"] = None
-        state["_burn"] = None
         state["_snap_hook"] = None
         state["_snap_every"] = 0
-        state["_snap_countdown"] = 0
+        state["_hook_due"] = 0
+        state["_pause_at"] = _NEVER
         state["_hooks"] = {}
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        # snapshots written before keyed hooks existed lack the registry
+        # snapshots written before keyed hooks / the folded run loop
+        # lack the registry and the armed threshold
         self.__dict__.setdefault("_hooks", {})
+        self.__dict__.setdefault("_hook_due", 0)
+        self.__dict__.setdefault("_pause_at", _NEVER)
 
     def stop(self) -> None:
         """Ask the running event loop to halt after the current event.
@@ -338,6 +359,7 @@ class Simulator:
         the flag is cleared on the next :meth:`run` call.
         """
         self._stop_requested = True
+        self._pause_at = -1
 
     # -- cancelled-event accounting (called from Event.cancel) ----------
     def _note_cancelled(self) -> None:
@@ -460,11 +482,8 @@ class Simulator:
                 )
             else:
                 event.callback(*event.args)
-            if self._snap_hook is not None:
-                self._snap_countdown -= 1
-                if self._snap_countdown <= 0:
-                    self._snap_countdown = self._snap_every
-                    self._snap_hook()
+            if self._events_processed >= self._pause_at:
+                self._between_events()
             return True
         return False
 
@@ -487,20 +506,20 @@ class Simulator:
             many events are processed (catches runaway feedback loops in
             protocol code).
 
-        Detached runs (no profiler, no burn hook) use a fused fast loop
-        with ``heappop``, the queue, and the freelist bound to locals;
-        :meth:`set_profiler`/:meth:`set_burn` swap in the instrumented
-        loop, so profiled behavior is unchanged.
+        Unprofiled runs use a fused fast loop with ``heappop``, the
+        queue, and the freelist bound to locals; :meth:`set_profiler`
+        swaps in the instrumented loop, so profiled behavior is
+        unchanged. Both loops share one per-event check, against
+        ``_pause_at``, which covers due hooks and :meth:`stop` alike.
         """
         if self._running:
             raise SimulationError("run() called reentrantly")
         self._running = True
         self._stop_requested = False
+        self._arm()
         try:
-            if self._profiler is not None or self._burn is not None:
+            if self._profiler is not None:
                 self._run_instrumented(until, max_events)
-            elif self._snap_hook is not None:
-                self._run_fast_hooked(until, max_events)
             else:
                 self._run_fast(until, max_events)
             if until is not None and self._now < until and not self._stop_requested:
@@ -509,7 +528,7 @@ class Simulator:
             self._running = False
 
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The detached-mode event loop (everything bound to locals)."""
+        """The unprofiled event loop (everything bound to locals)."""
         queue = self._queue
         pop = _heappop
         free = self._free
@@ -547,83 +566,15 @@ class Simulator:
                 event.args = ()
                 event.owner = None
                 free_append(event)
-            if self._stop_requested:
+            if self._events_processed >= self._pause_at and self._between_events():
                 break
-
-    def _run_fast_hooked(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The fast loop plus the snapshot-hook countdown.
-
-        A separate copy of :meth:`_run_fast` so hookless runs never pay
-        for the countdown. The hook fires *between* events (after the
-        callback and handle recycling), so the heap, clock, and counters
-        are consistent whenever it observes them. Dispatch order, seq
-        numbers, and ``events_processed`` are identical to the unhooked
-        loop — the hook is invisible to the simulation.
-        """
-        queue = self._queue
-        pop = _heappop
-        free = self._free
-        free_append = free.append
-        refcount = getrefcount
-        budget = (
-            None if max_events is None else self._events_processed + max_events
-        )
-        countdown = self._snap_countdown
-        try:
-            while queue:
-                entry = pop(queue)
-                event = entry[3]
-                if event._cancelled:
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                    event.owner = None
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    _heappush(queue, entry)
-                    break
-                if budget is not None and self._events_processed >= budget:
-                    _heappush(queue, entry)
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway simulation?)"
-                    )
-                self._now = when
-                entry = None  # release the heap tuple: makes the refcount check exact
-                self._events_processed += 1
-                event.callback(*event.args)
-                if refcount(event) == 2 and len(free) < _FREELIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    event.owner = None
-                    free_append(event)
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = self._snap_every
-                    self._snap_hook()
-                    if self._snap_hook is None:
-                        # hook uninstalled itself: fall back to the plain
-                        # loop with the remaining event budget
-                        self._snap_countdown = 0
-                        remaining = (
-                            None
-                            if budget is None
-                            else budget - self._events_processed
-                        )
-                        self._run_fast(until, remaining)
-                        return
-                if self._stop_requested:
-                    break
-        finally:
-            self._snap_countdown = countdown
 
     def _run_instrumented(
         self, until: Optional[float], max_events: Optional[int]
     ) -> None:
-        """The profiled/burn-hooked event loop (per-event instrumentation)."""
+        """The profiled event loop (per-event wall-clock instrumentation)."""
         profiler = self._profiler
-        burn = self._burn
+        assert profiler is not None
         processed_at_start = self._events_processed
         queue = self._queue
         while queue:
@@ -634,8 +585,7 @@ class Simulator:
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
                 event.owner = None
-                if profiler is not None:
-                    profiler.on_cancelled_pop()
+                profiler.on_cancelled_pop()
                 continue
             if until is not None and entry[0] > until:
                 break
@@ -649,22 +599,10 @@ class Simulator:
             _heappop(queue)
             self._now = entry[0]
             self._events_processed += 1
-            if burn is not None:
-                burn()
-            if profiler is not None:
-                started = perf_counter()
-                event.callback(*event.args)
-                profiler.on_event(
-                    event.callback, perf_counter() - started, len(queue)
-                )
-            else:
-                event.callback(*event.args)
-            if self._snap_hook is not None:
-                self._snap_countdown -= 1
-                if self._snap_countdown <= 0:
-                    self._snap_countdown = self._snap_every
-                    self._snap_hook()
-            if self._stop_requested:
+            started = perf_counter()
+            event.callback(*event.args)
+            profiler.on_event(event.callback, perf_counter() - started, len(queue))
+            if self._events_processed >= self._pause_at and self._between_events():
                 break
 
     def run_until_idle(self, max_events: Optional[int] = None) -> None:

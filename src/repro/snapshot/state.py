@@ -15,7 +15,7 @@ What deliberately does **not** travel:
 * trace subscribers (runner hook, injection-driver tap, external JSONL
   sinks) — live callbacks, re-attached by :func:`restore`, except
   external sinks which their owners must re-subscribe;
-* the kernel profiler and bench burn hook — wall-clock instrumentation;
+* the kernel profiler — wall-clock instrumentation;
 * the per-process ``itertools.count.__next__`` fast bindings — rebuilt
   by each process's ``_reattach``;
 * the kernel's snapshot hook — re-armed via the image's snapshotter,

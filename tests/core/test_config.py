@@ -38,6 +38,14 @@ class TestSystemConfig:
         assert isinstance(c.network, NetworkParams)
         assert c.network.shared_cell_medium is False
 
+    def test_from_params_rejects_retired_shards_key(self):
+        with pytest.raises(ConfigurationError, match="shards"):
+            SystemConfig.from_params({"n_processes": 4, "shards": 2})
+
+    def test_from_params_rejects_unknown_network_key(self):
+        with pytest.raises(ConfigurationError, match="NetworkParams.*bogus"):
+            SystemConfig.from_params({"network": {"bogus": 1}})
+
     def test_from_params_accepts_network_instance(self):
         params = NetworkParams(wired_latency=0.001)
         c = SystemConfig.from_params({"network": params})

@@ -70,6 +70,30 @@ def test_dict_round_trip_lossless():
     assert via_json.to_dict() == r.to_dict()
 
 
+def test_record_with_shard_stats_still_decodes():
+    """Results stored by the retired sharded kernel carry a
+    ``shard_stats`` key; decoding ignores it and keeps everything else."""
+    import json
+
+    r = make_result()
+    r.metrics = {"counters": {"system_messages": 30.0}, "gauges": {},
+                 "histograms": {}}
+    r.timeseries = {"window": 1.0, "rows": [{"t": 1.0, "events": 12}]}
+    stored = json.loads(json.dumps({
+        **r.to_dict(),
+        "shard_stats": {
+            "shards": 2, "effective_shards": 2, "windows": 17,
+            "envelopes": 40, "lookahead_violations": 0,
+            "stall_seconds": 0.25,
+        },
+    }))
+
+    restored = RunResult.from_dict(stored)
+    assert restored == r
+    del stored["shard_stats"]
+    assert restored.to_dict() == stored
+
+
 def test_dict_round_trip_from_real_run():
     """A result from an actual simulation survives the round trip."""
     from repro.checkpointing.mutable import MutableCheckpointProtocol

@@ -17,12 +17,12 @@ from repro.explore.invariants import (
     build_invariants,
     check_invariants,
 )
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLevel, TraceLog
 
 
 def make_trace(records):
     trace = TraceLog()
-    trace.enabled = True
+    trace.set_level(TraceLevel.DEBUG)
     for time, kind, fields in records:
         trace.record(time, kind, **fields)
     return trace

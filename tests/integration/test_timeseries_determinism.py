@@ -69,8 +69,8 @@ def test_sampler_on_matches_golden_trace_a():
 
 
 def test_sampler_on_matches_golden_trace_b():
-    """Fast-loop config B: the hooked loop reproduces the fused loop's
-    goldens exactly."""
+    """Fast-loop config B: a run with the sampler's hook armed
+    reproduces the hookless goldens exactly."""
     system, _ = _run(16, 7, False, 6, window=60.0)
     assert system.sim.trace.content_hash() == GOLDEN["B"]["trace_hash"]
     assert system.sim.events_processed == GOLDEN["B"]["wall_events"]

@@ -46,11 +46,11 @@ def test_registry_rejects_bounds_change():
         reg.histogram("h", bounds=(1.0, 4.0))
 
 
-def test_legacy_monitor_vocabulary():
+def test_counters_view_after_inc_and_observe():
     reg = MetricsRegistry()
-    reg.increment("msgs")
-    reg.increment("msgs", 2)
-    reg.observe("lat", 0.5)
+    reg.counter("msgs").inc()
+    reg.counter("msgs").inc(2)
+    reg.histogram("lat").observe(0.5)
     assert reg.counters() == {"msgs": 3.0}
     assert reg.histogram("lat").count == 1
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import time
 
-from repro.campaign.spec import CampaignSpec
 from repro.service.db import ResultDB
 from repro.service.jobs import CANCELLED, DONE, QUEUED, CampaignService, JobManager
 
@@ -129,41 +128,6 @@ def test_interrupted_job_completes_identically(tmp_path, slow_spec):
         assert canonical(report) == ref_doc
     finally:
         svc2.close()
-
-
-def test_sharded_job_reports_shards_and_stall(tiny_spec):
-    """A job with sharded points carries the shard count and the summed
-    window-stall seconds; sequential jobs show the neutral values."""
-    sharded_spec = CampaignSpec(
-        name="sharded",
-        protocols=["mutable"],
-        workloads=[{"kind": "p2p", "mean_send_interval": 60.0}],
-        configs=[{"n_processes": 8, "n_mss": 2, "shards": 2}],
-        run={"max_initiations": 2},
-    )
-    with CampaignService() as svc:
-        sequential = svc.submit(tiny_spec)
-        svc.wait(sequential.job_id, timeout=60)
-        assert sequential.shards == 1
-        assert sequential.shard_stall_seconds == 0.0
-
-        job = svc.submit(sharded_spec)
-        svc.wait(job.job_id, timeout=60)
-        assert job.shards == 2
-        doc = job.to_dict()
-        assert doc["shards"] == 2
-        expected = sum(
-            svc.db.get(p.point_hash).result["shard_stats"]["stall_seconds"]
-            for p in job.points
-        )
-        assert doc["shard_stall_seconds"] == round(expected, 6)
-
-        text = svc.prometheus_text()
-        assert (
-            f'service_job_shards{{job_id="{job.job_id}",name="sharded"}} 2'
-            in text
-        )
-        assert "service_job_shard_stall_seconds" in text
 
 
 def test_status_document(tiny_spec):

@@ -2,7 +2,7 @@
 
 ``set_between_events_hook`` lets several consumers (the snapshotter
 under ``"snapshot"``, the timeseries sampler under ``"timeseries"``)
-share the kernel's single hooked-loop slot; each still fires at its own
+share the kernel's single hook slot; each still fires at its own
 ``check_every`` cadence.
 """
 
@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
 
@@ -102,3 +103,73 @@ def test_hooks_do_not_travel_through_pickle(sim):
     _load(restored, 2)
     restored.run_until_idle()
     assert fired == [1, 1]
+
+
+# -- the hook countdown inside the run loop -----------------------------
+def test_stop_on_the_event_a_hook_is_due_fires_then_halts(sim):
+    fired = []
+    sim.set_between_events_hook("a", lambda: fired.append(sim.events_processed), 3)
+    _load(sim, 6)
+    sim.schedule(2.5, sim.stop)  # the third event of the run
+    sim.run()
+    assert fired == [3]
+    assert sim.events_processed == 3
+    assert sim.now == 2.5
+
+
+def test_countdown_carries_over_between_runs(sim):
+    fired = []
+    sim.set_between_events_hook("a", lambda: fired.append(sim.events_processed), 3)
+    _load(sim, 10)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=4)
+    assert fired == [3]
+    sim.run_until_idle()
+    # due at 6 and 9, not restarted at 4 + 3
+    assert fired == [3, 6, 9]
+
+
+def test_hook_installed_from_a_callback_fires_at_its_cadence(sim):
+    fired = []
+
+    def install() -> None:
+        sim.set_between_events_hook(
+            "late", lambda: fired.append(sim.events_processed), 2
+        )
+        sim.stop()
+
+    _load(sim, 10)
+    sim.schedule(3.0, install)  # dispatched as the fourth event
+    sim.run()
+    assert sim.events_processed == 4
+    assert fired == []
+    sim.run_until_idle()
+    assert fired == [6, 8, 10]
+
+
+def test_max_events_guard_raises_with_a_hook_armed(sim):
+    fired = []
+    sim.set_between_events_hook("a", lambda: fired.append(sim.events_processed), 2)
+
+    def forever() -> None:
+        sim.schedule(1.0, forever)
+
+    sim.schedule(1.0, forever)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=7)
+    assert sim.events_processed == 7
+    assert fired == [2, 4, 6]
+    assert sim.pending_events == 1
+
+
+def test_run_until_keeps_the_countdown(sim):
+    fired = []
+    sim.set_between_events_hook("a", lambda: fired.append(sim.now), 4)
+    _load(sim, 12)
+    sim.run(until=5.5)
+    assert fired == [4.0]
+    assert sim.now == 5.5
+    sim.run(until=6.5)
+    assert fired == [4.0]
+    sim.run_until_idle()
+    assert fired == [4.0, 8.0, 12.0]

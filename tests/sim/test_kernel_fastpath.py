@@ -1,10 +1,10 @@
 """Fast-path kernel internals: event pooling, cancelled-event
-accounting, heap compaction, and the burn/stop hooks.
+accounting, heap compaction, the profiled loop and stop().
 
 These lock in the hot-path overhaul's safety properties: cancelled
 events no longer accumulate in the heap without bound (the Timer
 restart leak), recycled Event objects are never handed back while a
-caller still holds a reference, and the instrumented loop (burn hook
+caller still holds a reference, and the instrumented loop (profiler
 attached) dispatches identically to the fast loop.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.profiler import KernelProfiler
 from repro.sim.events import Timer
 from repro.sim.kernel import Simulator
 
@@ -107,29 +108,23 @@ def test_freelist_reuse_keeps_order():
     assert order == list(range(501))
 
 
-# -- burn and stop hooks ----------------------------------------------
-def test_burn_hook_runs_per_event():
-    sim = Simulator()
-    burns = []
-    sim.set_burn(lambda: burns.append(1))
-    for i in range(5):
-        sim.schedule(float(i + 1), lambda: None)
-    sim.run_until_idle()
-    assert len(burns) == 5
-    sim.set_burn(None)
-    sim.schedule(10.0, lambda: None)
-    sim.run_until_idle()
-    assert len(burns) == 5
+# -- profiled loop and stop -------------------------------------------
+def test_burn_loop_matches_fast_loop_dispatch():
+    def dispatch(profiler):
+        s = Simulator()
+        s.set_profiler(profiler)
+        order = []
+        s.schedule(2.0, order.append, "b")
+        s.schedule(1.0, order.append, "a")
+        s.schedule(1.0, order.append, "a2")
+        s.schedule(1.0, order.append, "x").cancel()
+        s.run_until_idle()
+        return order, s.events_processed
 
-
-def test_burn_loop_matches_fast_loop_dispatch(sim):
-    order = []
-    sim.set_burn(lambda: None)
-    sim.schedule(2.0, order.append, "b")
-    sim.schedule(1.0, order.append, "a")
-    sim.schedule(1.0, order.append, "a2")
-    sim.run_until_idle()
-    assert order == ["a", "a2", "b"]
+    profiler = KernelProfiler()
+    assert dispatch(profiler) == dispatch(None) == (["a", "a2", "b"], 3)
+    assert profiler.dispatched == 3
+    assert profiler.cancelled_pops == 1
 
 
 def test_stop_halts_run_from_inside_a_callback():

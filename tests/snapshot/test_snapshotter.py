@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import os
+import sys
+import types
+
+import pytest
 
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.registry import build_protocol
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import SnapshotError
+from repro.sim.kernel import Simulator
 from repro.snapshot import (
     SnapshotPolicy,
     SnapshotStore,
     Snapshotter,
     read_meta,
     resume_memory,
+    resume_run,
 )
 
 
@@ -160,3 +167,25 @@ def test_uninstall_disarms_the_hook():
     snap.uninstall()
     runner.run(max_events=500_000)
     assert snap.memory == []
+
+
+def test_snapshot_of_a_removed_kernel_class_fails_typed(tmp_path, monkeypatch):
+    """A .rsnap whose pickle names a kernel class that no longer exists
+    (``repro.sim.shard.ShardedSimulator``) is refused with SnapshotError."""
+    gone = types.ModuleType("repro.sim.shard")
+
+    class ShardedSimulator(Simulator):
+        pass
+
+    ShardedSimulator.__module__ = gone.__name__
+    ShardedSimulator.__qualname__ = "ShardedSimulator"
+    gone.ShardedSimulator = ShardedSimulator
+    monkeypatch.setitem(sys.modules, gone.__name__, gone)
+    system, runner = _build()
+    system.sim.__class__ = ShardedSimulator
+    snap = Snapshotter(runner, directory=str(tmp_path / "snaps"))
+    path = snap.take()
+    monkeypatch.delitem(sys.modules, gone.__name__)
+
+    with pytest.raises(SnapshotError, match="cannot unpickle"):
+        resume_run(path)
